@@ -20,6 +20,15 @@
 /// headline: the population-100 median speedup over the pre-arena seed
 /// must be >= 2x, and each 10^4-member cell must individually be >= 2x
 /// over the seed.
+/// Both modes also run the injection-scan cell: the population of the
+/// 10^4-member configuration (ε = 0.06, after 50k offspring)
+/// takes a stream of the run's own next offspring through
+/// Population::inject (the pair-mirror bitmask kernel) and through a
+/// scalar oracle kept in this file (row-major mirror, compare_constrained
+/// per member, the same replacement draws). Every verdict — accepted or
+/// not, the dominated list in order, the victim — must agree, or the exit
+/// code is 2; the kernel must also not be slower. Reported as ns per
+/// member scanned.
 /// The full grid produces the checked-in BENCH_operators.json
 /// (regenerate from a Release build with
 /// `micro_operators --json BENCH_operators.json`).
@@ -33,11 +42,13 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "moea/borg.hpp"
 #include "moea/operators.hpp"
+#include "moea/population.hpp"
 #include "problems/problem.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -265,6 +276,166 @@ LoopCell master_loop_cell(const std::string& name, double epsilon,
     return cell;
 }
 
+/// The population's injection rule written the obvious way: objectives in
+/// a row-major matrix, compare_constrained per member, the same RNG draws
+/// as Population::inject. Reference for the scan cell; not for production.
+class ScanOracle {
+public:
+    ScanOracle(const std::vector<Solution>& members, std::size_t target)
+        : target_(target) {
+        for (const Solution& s : members) append(s);
+    }
+
+    std::size_t size() const noexcept { return violation_.size(); }
+    const std::vector<std::size_t>& dominated() const noexcept {
+        return dominated_;
+    }
+
+    /// The member index the offspring landed in, or nullopt if rejected.
+    std::optional<std::size_t> inject(const Solution& offspring,
+                                      util::Rng& rng) {
+        dominated_.clear();
+        if (size() < target_) {
+            append(offspring);
+            return size() - 1;
+        }
+        const std::size_t m = offspring.objectives.size();
+        const double violation = offspring.total_violation();
+        bool offspring_dominated = false;
+        for (std::size_t i = 0; i < size(); ++i) {
+            switch (compare_constrained(offspring.objectives, violation,
+                                        {rows_.data() + i * m, m},
+                                        violation_[i])) {
+            case Dominance::kDominates: dominated_.push_back(i); break;
+            case Dominance::kDominatedBy: offspring_dominated = true; break;
+            default: break;
+            }
+        }
+        if (dominated_.empty() && offspring_dominated) return std::nullopt;
+        const std::size_t victim =
+            dominated_.empty()
+                ? static_cast<std::size_t>(rng.below(size()))
+                : dominated_[static_cast<std::size_t>(
+                      rng.below(dominated_.size()))];
+        std::copy(offspring.objectives.begin(), offspring.objectives.end(),
+                  rows_.begin() + static_cast<std::ptrdiff_t>(victim * m));
+        violation_[victim] = violation;
+        return victim;
+    }
+
+private:
+    void append(const Solution& s) {
+        rows_.insert(rows_.end(), s.objectives.begin(), s.objectives.end());
+        violation_.push_back(s.total_violation());
+    }
+
+    std::size_t target_;
+    std::vector<double> rows_;
+    std::vector<double> violation_;
+    std::vector<std::size_t> dominated_;
+};
+
+struct ScanCell {
+    std::string problem;
+    std::size_t members = 0;
+    std::size_t offspring = 0;
+    double oracle_ns = 0.0; ///< ns per member scanned, scalar oracle
+    double kernel_ns = 0.0; ///< ns per member scanned, Population::inject
+    double speedup = 0.0;
+};
+
+constexpr int kScanOffspring = 2000;
+
+/// The injection-scan cell on \p name's 10^4-member configuration. Returns
+/// false (and reports the first divergence) unless Population::inject and
+/// the oracle agree on every verdict of the stream.
+bool injection_scan_cell(const std::string& name, std::size_t samples,
+                         std::uint64_t seed, ScanCell& cell) {
+    const auto problem = problems::make_problem(name);
+    BorgParams params = BorgParams::for_problem(*problem, 0.06);
+    params.initial_population_size = 100;
+    BorgMoea alg(*problem, params, 42);
+    for (int i = 0; i < kLoopWarmup + kLoopTimed; ++i) {
+        const SolutionHandle h = alg.next_offspring_handle();
+        evaluate(*problem, alg.pool(), h);
+        alg.receive_handle(h);
+    }
+    // The target is pinned at the snapshot's size so every offspring of
+    // the stream pays the full scan (the run's own target may still lie
+    // above its population, which would make early offspring appends).
+    const std::vector<Solution> members =
+        alg.population().materialize_members();
+    const std::size_t target = members.size();
+    std::vector<Solution> stream;
+    for (int i = 0; i < kScanOffspring; ++i) {
+        const SolutionHandle h = alg.next_offspring_handle();
+        evaluate(*problem, alg.pool(), h);
+        stream.push_back(alg.pool().materialize(h));
+        alg.receive_handle(h);
+    }
+    cell.problem = name;
+    cell.members = members.size();
+    cell.offspring = stream.size();
+
+    // Agreement: same RNG state on both sides, verdict by verdict.
+    std::size_t scanned = 0; // members compared over the stream
+    {
+        Population population(target);
+        population.restore(members, target);
+        ScanOracle oracle(members, target);
+        util::Rng kernel_rng(seed), oracle_rng(seed);
+        for (std::size_t k = 0; k < stream.size(); ++k) {
+            scanned += oracle.size();
+            std::uint32_t row = 0;
+            const bool accepted = population.inject(stream[k], kernel_rng,
+                                                    &row);
+            const std::optional<std::size_t> victim =
+                oracle.inject(stream[k], oracle_rng);
+            const std::span<const std::size_t> dominated =
+                population.last_dominated();
+            if (accepted != victim.has_value() ||
+                !std::equal(dominated.begin(), dominated.end(),
+                            oracle.dominated().begin(),
+                            oracle.dominated().end()) ||
+                (accepted && row != population.member_row(*victim))) {
+                std::cerr << "FAIL: " << name << " injection scan diverged"
+                          << " from the oracle at offspring " << k << "\n";
+                return false;
+            }
+        }
+    }
+
+    // Timing: every sample replays the whole stream from the snapshot.
+    const auto per_member = [&](auto&& replay) {
+        std::vector<double> ns;
+        for (std::size_t s = 0; s < samples; ++s) {
+            util::Rng rng(seed);
+            ns.push_back(replay(rng) /
+                         static_cast<double>(std::max<std::size_t>(1, scanned)));
+        }
+        std::sort(ns.begin(), ns.end());
+        return ns[ns.size() / 2];
+    };
+    std::size_t sink = 0;
+    cell.oracle_ns = per_member([&](util::Rng& rng) {
+        ScanOracle oracle(members, target);
+        const auto t0 = std::chrono::steady_clock::now();
+        for (const Solution& s : stream)
+            sink += oracle.inject(s, rng).value_or(0);
+        return elapsed_ns(t0, std::chrono::steady_clock::now());
+    });
+    cell.kernel_ns = per_member([&](util::Rng& rng) {
+        Population population(target);
+        population.restore(members, target);
+        const auto t0 = std::chrono::steady_clock::now();
+        for (const Solution& s : stream) sink += population.inject(s, rng);
+        return elapsed_ns(t0, std::chrono::steady_clock::now());
+    });
+    if (sink == 0) std::cerr << "no offspring was ever injected?\n";
+    cell.speedup = cell.oracle_ns / cell.kernel_ns;
+    return true;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -340,6 +511,34 @@ int main(int argc, char** argv) {
     if (sink == 0.0) std::cerr << "no offspring was ever produced?\n";
     std::cout << "agreement: apply / apply_into / produce_batch "
                  "bit-identical on every operator\n";
+
+    std::cout << "\ninjection scan: ns per member scanned, " << kScanOffspring
+              << " offspring into the eps 0.06 population after "
+              << kLoopWarmup + kLoopTimed << " offspring, median of " << samples
+              << " samples\n";
+    util::Table scan_table({"problem", "members", "oracle ns", "kernel ns",
+                            "speedup"});
+    std::vector<ScanCell> scan_cells;
+    for (const std::string& name : problem_names) {
+        ScanCell cell;
+        if (!injection_scan_cell(name, samples, seed, cell)) return 2;
+        char oracle_buf[32], kernel_buf[32], speedup_buf[32];
+        std::snprintf(oracle_buf, sizeof(oracle_buf), "%.2f", cell.oracle_ns);
+        std::snprintf(kernel_buf, sizeof(kernel_buf), "%.2f", cell.kernel_ns);
+        std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2fx",
+                      cell.speedup);
+        scan_table.add_row({name, std::to_string(cell.members), oracle_buf,
+                            kernel_buf, speedup_buf});
+        if (cell.speedup <= 1.0) {
+            std::cerr << "FAIL: " << name << " injection scan kernel slower"
+                      << " than the scalar oracle (" << speedup_buf << ")\n";
+            rc = 1;
+        }
+        scan_cells.push_back(cell);
+    }
+    scan_table.print(std::cout);
+    std::cout << "agreement: Population::inject and the scalar oracle agree"
+                 " on every verdict, dominated list and victim\n";
 
     // Full grid: the end-to-end master hot loop (the T_A headline). The
     // population-100 cells also time the allocation-per-offspring value
@@ -428,6 +627,20 @@ int main(int argc, char** argv) {
                           r.problem.c_str(), r.op.c_str(), r.scalar_ns,
                           r.batch_ns, r.speedup,
                           i + 1 < reports.size() ? "," : "");
+            out << buf;
+        }
+        out << "  ],\n  \"injection_scan\": [\n";
+        for (std::size_t i = 0; i < scan_cells.size(); ++i) {
+            const ScanCell& c = scan_cells[i];
+            char buf[256];
+            std::snprintf(buf, sizeof(buf),
+                          "    {\"problem\": \"%s\", \"members\": %zu, "
+                          "\"offspring\": %zu, \"oracle_ns_per_member\": "
+                          "%.2f, \"kernel_ns_per_member\": %.2f, "
+                          "\"speedup\": %.2f}%s\n",
+                          c.problem.c_str(), c.members, c.offspring,
+                          c.oracle_ns, c.kernel_ns, c.speedup,
+                          i + 1 < scan_cells.size() ? "," : "");
             out << buf;
         }
         out << "  ],\n  \"master_loop\": [\n";

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI: plain Release build + full tests (fast, slow, threads, and
-# the net tier's loopback TCP fault-injection suite), a clang-tidy pass
+# the net tier's loopback TCP fault-injection suite), the repository
+# benchmark's smoke run (perfbench/smoke.py), a clang-tidy pass
 # over the engine/parallel layer (skipped when clang-tidy is not
 # installed), the arena-ownership lint, the trace_check observability
 # gate, the hypervolume, ε-archive, DES, and variation-operator
@@ -17,6 +18,14 @@ echo "=== Release build + tests (all tiers) ==="
 cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "=== repository benchmark smoke (every workload's pinned end state) ==="
+# Tiny budgets on every perfbench workload, untraced and traced: each
+# repetition must reproduce its seed's pinned archive, population,
+# restarts and digest, so a change that alters any workload's behaviour
+# fails here and not only in the benchmark. Builds its own tree in
+# .bench_build/ (~9 s of runs after the build).
+python3 perfbench/smoke.py
 
 echo "=== clang-tidy (static analysis; gate on new warnings) ==="
 # The compile database is always generated (editors and other tooling
@@ -67,7 +76,9 @@ echo "=== DES engine gate (agreement + speedup smoke) ==="
 echo "=== operator batch gate (agreement + speedup smoke) ==="
 # Fails if apply_into/produce_batch ever diverge bit-for-bit from the
 # scalar apply() oracle on any ensemble operator, or if the batched path
-# is slower than the scalar path on any DTLZ2_5 cell. The full grid
+# is slower than the scalar path on any DTLZ2_5 cell; likewise if
+# Population::inject's bitmask scan disagrees with the scalar oracle on
+# any verdict, dominated list or victim, or is slower. The full grid
 # (BENCH_operators.json) additionally times the end-to-end master hot
 # loop against the pre-arena seed baseline.
 ./build/bench/micro_operators --quick --json build/BENCH_operators.json

@@ -315,8 +315,16 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
     }
 
     if (!scratch_evicted_.empty()) {
-        for (const std::uint32_t slot : scratch_evicted_)
+        // Eviction can only loosen the true bounds. While every axis keeps
+        // a member on its bound the kept bounds stay exact, so rescan only
+        // when an evicted box held one.
+        bool held_bound = false;
+        for (const std::uint32_t slot : scratch_evicted_) {
             slot_evicted_[slot] = 1;
+            const auto box = box_of(slot);
+            for (std::size_t i = 0; i < box.size(); ++i)
+                held_bound |= box[i] == axis_min_[i] || box[i] == axis_max_[i];
+        }
         std::erase_if(by_sum_, [&](std::uint32_t s) {
             return slot_evicted_[s] != 0;
         });
@@ -328,7 +336,7 @@ ArchiveAdd ArchiveEngine::do_add(ConstSolutionView solution,
             slot_evicted_[slot] = 0;
             release_slot(slot);
         }
-        refresh_axis_bounds();
+        if (held_bound) refresh_axis_bounds();
     }
 
     install(solution, owned);

@@ -168,6 +168,17 @@ public:
     void operator_counts_into(std::vector<std::size_t>& counts,
                               std::size_t num_operators) const;
 
+    /// Per-objective minimum / maximum ε-box coordinate over the current
+    /// members (meaningless while empty), kept incrementally: add() skips
+    /// its rejection or eviction scan when the candidate's box lies outside
+    /// them on some axis.
+    std::span<const std::int64_t> axis_min() const noexcept {
+        return axis_min_;
+    }
+    std::span<const std::int64_t> axis_max() const noexcept {
+        return axis_max_;
+    }
+
     void clear() noexcept;
 
     /// Checkpoint restore: installs \p solutions directly, preserving

@@ -18,10 +18,11 @@
 ///
 /// Storage: members live in a SolutionPool arena (DESIGN.md §15) — the
 /// population owns one handle per member, and the steady-state injection
-/// scan walks dense pool rows instead of pointer-chasing per-member heap
-/// vectors. A population can either share the algorithm's pool (BorgMoea
-/// passes its own) or lazily create a private one sized from the first
-/// solution it sees (standalone construction in tests).
+/// scan and tournaments read a dense, pair-interleaved objective mirror
+/// instead of pointer-chasing per-member heap vectors. A population can
+/// either share the algorithm's pool (BorgMoea passes its own) or lazily
+/// create a private one sized from the first solution it sees (standalone
+/// construction in tests).
 
 #include <cstddef>
 #include <memory>
@@ -102,6 +103,20 @@ public:
         std::size_t tournament_size, util::Rng& rng,
         std::span<const std::uint32_t> counts_by_row) const;
 
+    /// Members the most recent inject() found the offspring dominates, in
+    /// index order (empty after an append-phase inject). The replacement
+    /// victim is drawn uniformly from this list.
+    std::span<const std::size_t> last_dominated() const noexcept {
+        return dominated_scratch_;
+    }
+
+    /// Members whose total constraint violation is positive. While it is 0
+    /// and the offspring is feasible, dominance is plain Pareto dominance
+    /// and the injection scan and tournaments take the vectorized path.
+    std::size_t infeasible_members() const noexcept {
+        return infeasible_members_;
+    }
+
     /// Pool row (arena slot index) holding member \p i's payload.
     std::uint32_t member_row(std::size_t i) const noexcept {
         return members_[i].index;
@@ -117,11 +132,19 @@ private:
     SolutionPool& pool_for(ConstSolutionView exemplar);
     std::size_t tournament_pick(std::size_t tournament_size,
                                 util::Rng& rng) const;
+    /// compare_constrained(member idx, incumbent); reads the member in
+    /// place while every member is feasible (the incumbent is one of them).
+    Dominance challenge(std::size_t idx, std::span<const double> incumbent,
+                        double incumbent_violation) const;
     /// Refreshes the dense row mirrored from members_[i]'s payload.
     void cache_member(std::size_t i);
-    std::span<const double> cached_objectives(std::size_t i) const {
-        return {cached_objectives_.data() + i * num_objectives_,
-                num_objectives_};
+    /// Offset of member i's first objective in objective_pairs_; its
+    /// num_objectives_ values follow at stride 2.
+    std::size_t mirror_offset(std::size_t i) const noexcept {
+        return i / 2 * 2 * num_objectives_ + i % 2;
+    }
+    const double* mirror_row(std::size_t i) const noexcept {
+        return objective_pairs_.data() + mirror_offset(i);
     }
 
     std::size_t target_size_;
@@ -135,10 +158,15 @@ private:
     // tournaments read ONLY these flat arrays: at restart-grown population
     // sizes (γ·|archive|, tens of thousands) the per-member handle checks
     // and strided block reads of pool_->view() would otherwise dominate
-    // the master's T_A. Same values, same comparisons — runs don't change.
+    // the master's T_A. Members 2k and 2k+1 share one block of
+    // 2·num_objectives_ doubles, objective-major ({f0(2k), f0(2k+1), f1(2k),
+    // f1(2k+1), ...}), so one 128-bit load carries an objective of both
+    // rows; an odd-sized population pads its last block by one row, which
+    // the scan masks. Same values, same comparisons — runs don't change.
     std::size_t num_objectives_ = 0;
-    std::vector<double> cached_objectives_;
+    std::vector<double> objective_pairs_;
     std::vector<double> cached_violation_;
+    std::size_t infeasible_members_ = 0; ///< count of violation > 0 rows
 };
 
 } // namespace borg::moea

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -404,6 +406,56 @@ TEST(ArchiveEquivalence, EvictionHeavyShrinkingFront) {
             stream.push_back(std::move(s));
         }
         expect_equivalent(m, 0.04, stream);
+    }
+}
+
+TEST(ArchiveEngineBounds, KeptAxisBoundsMatchRecomputeUnderEviction) {
+    // add() rescans its per-axis box bounds after an eviction only when an
+    // evicted box lay on one of them. The bounds gate the rejection and
+    // eviction scans, so they must never be tighter than the members'
+    // true bounds; and since every axis keeps a member on its bound until
+    // a rescan, they stay exact. The shrinking front evicts constantly;
+    // the mixed stream adds the infeasible-anchor resets.
+    for (std::size_t m : {2u, 3u, 5u}) {
+        const std::vector<double> eps(m, 0.04);
+        borg::util::Rng rng(800 + m);
+        std::vector<Solution> stream;
+        for (std::size_t i = 0; i < 3000; ++i) {
+            // A front on the simplex moving toward the origin: each new
+            // point dominates the older members around it.
+            const double scale =
+                1.0 - 0.8 * static_cast<double>(i) / 3000.0;
+            std::vector<double> f(m);
+            double sum = 0.0;
+            for (double& v : f) sum += v = rng.uniform();
+            for (double& v : f) v *= scale / sum;
+            stream.push_back(evaluated(f));
+            stream.back().constraints = {0.0, 0.0}; // the mixed stream's shape
+        }
+        for (Solution& s : make_stream(m, StreamKind::kMixed, 1000, 850 + m))
+            stream.push_back(std::move(s));
+        ArchiveEngine engine(eps);
+        std::size_t evicted = 0;
+        for (std::size_t k = 0; k < stream.size(); ++k) {
+            const std::size_t before = engine.size();
+            if (engine.add(stream[k]) == ArchiveAdd::kAddedNewBox)
+                evicted += before + 1 - engine.size();
+            std::vector<std::int64_t> lo(m, INT64_MAX), hi(m, INT64_MIN);
+            for (std::size_t i = 0; i < engine.size(); ++i) {
+                const auto box = epsilon_box(engine[i].objectives, eps);
+                for (std::size_t j = 0; j < m; ++j) {
+                    lo[j] = std::min(lo[j], box[j]);
+                    hi[j] = std::max(hi[j], box[j]);
+                }
+            }
+            for (std::size_t j = 0; j < m; ++j) {
+                ASSERT_LE(engine.axis_min()[j], lo[j]) << "m=" << m << " " << k;
+                ASSERT_GE(engine.axis_max()[j], hi[j]) << "m=" << m << " " << k;
+                ASSERT_EQ(engine.axis_min()[j], lo[j]) << "m=" << m << " " << k;
+                ASSERT_EQ(engine.axis_max()[j], hi[j]) << "m=" << m << " " << k;
+            }
+        }
+        EXPECT_GT(evicted, 250u) << "m=" << m;
     }
 }
 
